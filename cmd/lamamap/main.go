@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) error {
 	listPolicies := fs.Bool("list-policies", false, "list registered placement policies and exit")
 	check := fs.Bool("check", false, "validate the planned map against the cluster and print one ok line")
 	patternName := fs.String("pattern", "", "traffic pattern for traffic-aware policies (see internal/commpat)")
-	bytesPer := fs.Float64("bytes", 1<<20, "bytes per exchange for -pattern")
+	bytesPer := fs.Float64("bytes", 1<<20, "bytes per exchange for -pattern (positive and finite)")
 	netSpec := fs.String("net", "", "network model for network-aware post-passes: flat, fat-tree[:leaf], dragonfly[:group], torus[:XxYxZ] (needs -pattern)")
 	netRefine := fs.Bool("net-refine", false, "add delta-J pairwise-swap refinement after the -net node ordering")
 	seed := fs.Int64("seed", 1, "seed for randomized policies")
@@ -80,6 +80,9 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, name)
 		}
 		return nil
+	}
+	if !commpat.ValidVolume(*bytesPer) {
+		return fmt.Errorf("-bytes must be positive and finite, got %v", *bytesPer)
 	}
 
 	c, err := buildCluster(*clusterSpec, *hostfile)
@@ -111,11 +114,9 @@ func run(args []string, out io.Writer) error {
 	req.Opts.Obs = o
 	req.Seed = *seed
 	if *patternName != "" {
-		gen, ok := commpat.ByName(*patternName)
-		if !ok {
-			return fmt.Errorf("unknown pattern %q (see commpat.Patterns)", *patternName)
+		if req.Traffic, err = commpat.Generate(*patternName, req.NP, *bytesPer); err != nil {
+			return err
 		}
-		req.Traffic = gen(req.NP, *bytesPer)
 	}
 	if *netSpec != "" {
 		if req.Traffic == nil {

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -161,6 +163,53 @@ func TestObservabilityFlags(t *testing.T) {
 		`"lama_map_nodes_used"`} {
 		if !strings.Contains(string(report), want) {
 			t.Fatalf("report missing %s:\n%s", want, report)
+		}
+	}
+}
+
+// TestBytesMustBePositiveAndFinite: a -bytes value that is NaN, ±Inf or
+// not positive is a usage error, not a plan on empty, infinite or NaN
+// traffic (with which no treematch weight compares greater than -1).
+func TestBytesMustBePositiveAndFinite(t *testing.T) {
+	for _, bad := range []string{"NaN", "-1", "+Inf"} {
+		for _, tail := range [][]string{
+			{"-policy", "treematch", "-pattern", "ring", "-check"},
+			{"-pattern", "ring", "-net", "fat-tree", "-net-refine", "-check"},
+		} {
+			args := append([]string{"-np", "64", "-cluster", "4xnehalem-ep", "-bytes", bad}, tail...)
+			var out bytes.Buffer
+			err := run(args, &out)
+			if err == nil || !strings.Contains(err.Error(), "-bytes") {
+				t.Errorf("run(%v) = %v, want a -bytes usage error", args, err)
+			}
+			if out.Len() != 0 {
+				t.Errorf("run(%v) printed %q", args, out.String())
+			}
+		}
+	}
+}
+
+// TestNetRefinePlansPinned pins the -json bytes of the network-refined
+// plans to the output the dense-traffic implementation produced, so the
+// CSR traffic path is checked to change no placement.
+func TestNetRefinePlansPinned(t *testing.T) {
+	want := map[string]string{
+		"stencil3d/fat-tree": "61e3e110b0b232b56332a6bd1db438d0b633a75c9edd4ba913e0fe24aa06c140",
+		"stencil3d/torus":    "4cbfb90517845e6088077be05bc3e30088829c49465769720c88af4c7f140711",
+		"gtc/fat-tree":       "b5f9b0a5600384524d00d184102f6facdbbee5f9f86f6d60c69a1792ac73df0d",
+		"gtc/torus":          "dee0e2fb9cdcdf0887c4dddf4b828e42846331566d9923a9d19d44891ee08aa6",
+	}
+	for _, pattern := range []string{"stencil3d", "gtc"} {
+		for _, net := range []string{"fat-tree", "torus"} {
+			var out bytes.Buffer
+			if err := run([]string{"-np", "192", "-cluster", "24xnehalem-ep", "-pattern", pattern,
+				"-net", net, "-net-refine", "-json"}, &out); err != nil {
+				t.Fatal(err)
+			}
+			key := pattern + "/" + net
+			if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != want[key] {
+				t.Errorf("%s: -json sha256 %s, want %s", key, got, want[key])
+			}
 		}
 	}
 }

@@ -65,7 +65,7 @@ func run(args []string, out io.Writer) error {
 	spec := fs.String("spec", "nehalem-ep", "node spec (preset or colon form)")
 	patternName := fs.String("pattern", "stencil2d", "traffic pattern (see internal/commpat)")
 	trafficPath := fs.String("traffic", "", "traffic matrix file (edge list; overrides -pattern)")
-	bytesPer := fs.Float64("bytes", 1<<20, "bytes per exchange")
+	bytesPer := fs.Float64("bytes", 1<<20, "bytes per exchange (positive and finite)")
 	netName := fs.String("net", "flat", "network model: flat | fat-tree[:leaf] | torus[:XxYxZ] | dragonfly[:group]")
 	netRefine := fs.Bool("net-refine", false, "wrap every strategy with network-aware node ordering + delta-J swap refinement")
 	policyList := fs.String("policy", "", `comma-separated placement policies to compare, or "all" for every registered one (default: LAMA layouts + treematch + random)`)
@@ -101,6 +101,9 @@ func run(args []string, out io.Writer) error {
 	if *version {
 		obs.PrintVersion(out, "lamasim")
 		return nil
+	}
+	if !commpat.ValidVolume(*bytesPer) {
+		return fmt.Errorf("-bytes must be positive and finite, got %v", *bytesPer)
 	}
 	if *validate != "" {
 		return runValidate(out, *validate)
@@ -158,29 +161,23 @@ func run(args []string, out io.Writer) error {
 	}
 	model := netsim.NewModel(net)
 
-	var tm *commpat.Matrix
+	var tm *commpat.CSR
 	if *trafficPath != "" {
 		text, err := os.ReadFile(*trafficPath)
 		if err != nil {
 			return err
 		}
-		tm, err = commpat.ParseMatrix(string(text))
+		dense, err := commpat.ParseMatrix(string(text))
 		if err != nil {
 			return err
 		}
-		if tm.Ranks() != *np {
-			return fmt.Errorf("traffic file has %d ranks but -np is %d", tm.Ranks(), *np)
+		if dense.Ranks() != *np {
+			return fmt.Errorf("traffic file has %d ranks but -np is %d", dense.Ranks(), *np)
 		}
+		tm = dense.Sparse()
 		*patternName = *trafficPath
-	} else {
-		for _, p := range commpat.Patterns() {
-			if p.Name == *patternName {
-				tm = p.Gen(*np, *bytesPer)
-			}
-		}
-		if tm == nil {
-			return fmt.Errorf("unknown pattern %q (see commpat.Patterns)", *patternName)
-		}
+	} else if tm, err = commpat.Generate(*patternName, *np, *bytesPer); err != nil {
+		return err
 	}
 
 	strategies := []strategy{
@@ -198,7 +195,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *netRefine {
-		stm := tm.Sparse()
 		for i := range strategies {
 			s := strategies[i]
 			strategies[i] = strategy{s.name + "+net", func() (*core.Map, error) {
@@ -206,11 +202,11 @@ func run(args []string, out io.Writer) error {
 				if err != nil {
 					return nil, err
 				}
-				m, _, err = netorder.OrderNodes(c, model, stm, m)
+				m, _, err = netorder.OrderNodes(c, model, tm, m)
 				if err != nil {
 					return nil, err
 				}
-				m, _, err = netorder.RefineMap(c, model, stm, m, 0)
+				m, _, err = netorder.RefineMap(c, model, tm, m, 0)
 				return m, err
 			}}
 		}
@@ -228,7 +224,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			rep, err := model.Evaluate(c, m, tm)
+			rep, err := model.EvaluateSparse(c, m, tm)
 			if err != nil {
 				return err
 			}
@@ -317,7 +313,7 @@ func policyGen(name string, req *place.Request) func() (*core.Map, error) {
 // registered policy names, or "all" for every registered one. The
 // "rankfile" policy gets its text synthesized from the by-slot placement,
 // so every policy is runnable from one invocation.
-func policyStrategies(list string, c *cluster.Cluster, np int, tm *commpat.Matrix,
+func policyStrategies(list string, c *cluster.Cluster, np int, tm *commpat.CSR,
 	d torus.Dims, seed int64) ([]strategy, error) {
 	names := strings.Split(list, ",")
 	if list == "all" {

@@ -243,3 +243,18 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		t.Fatal("wrong-schema report should fail validation")
 	}
 }
+
+// TestBytesMustBePositiveAndFinite: NaN, ±Inf and non-positive -bytes
+// values are usage errors, not runs on empty or infinite traffic.
+func TestBytesMustBePositiveAndFinite(t *testing.T) {
+	for _, bad := range []string{"NaN", "-1", "+Inf", "0"} {
+		for _, mode := range []string{"static", "coll"} {
+			args := []string{"-np", "16", "-nodes", "2", "-mode", mode, "-bytes", bad}
+			var out bytes.Buffer
+			err := run(args, &out)
+			if err == nil || !strings.Contains(err.Error(), "-bytes") {
+				t.Errorf("run(%v) = %v, want a -bytes usage error", args, err)
+			}
+		}
+	}
+}

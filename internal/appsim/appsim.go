@@ -37,10 +37,10 @@ type Result struct {
 	BoundBy string
 }
 
-// Run simulates the application. The traffic matrix gives per-iteration
+// Run simulates the application. The traffic gives per-iteration
 // exchanged bytes between ranks.
 func Run(c *cluster.Cluster, m *core.Map, model *netsim.Model,
-	tm *commpat.Matrix, cfg Config) (*Result, error) {
+	tm commpat.Traffic, cfg Config) (*Result, error) {
 	if cfg.Iterations <= 0 {
 		return nil, fmt.Errorf("appsim: non-positive iteration count %d", cfg.Iterations)
 	}
@@ -55,7 +55,7 @@ func Run(c *cluster.Cluster, m *core.Map, model *netsim.Model,
 	perRank := make([]float64, m.NumRanks())
 	flows := map[[2]int]float64{}
 	var firstErr error
-	tm.Each(func(i, j int, bytes float64) {
+	tm.Sparse().Each(func(i, j int, bytes float64) {
 		cost, err := model.PairCost(c, m, i, j, bytes)
 		if err != nil {
 			if firstErr == nil {

@@ -52,6 +52,9 @@ func ParseMatrix(text string) (*Matrix, error) {
 		if bytes <= 0 {
 			return nil, fmt.Errorf("commpat:%d: non-positive bytes in %q", lineNo+1, line)
 		}
+		if !ValidVolume(bytes) {
+			return nil, fmt.Errorf("commpat:%d: non-finite bytes in %q", lineNo+1, line)
+		}
 		m.Add(src, dst, bytes)
 	}
 	if m == nil {

@@ -6,7 +6,10 @@
 // changes communication cost without real applications.
 package commpat
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Matrix is a dense rank-to-rank traffic matrix: Bytes(i,j) is the number
 // of bytes rank i sends to rank j over one iteration of the application.
@@ -35,13 +38,31 @@ func (m *Matrix) Bytes(i, j int) float64 {
 	return m.bytes[i*m.n+j]
 }
 
-// Add accumulates traffic from i to j. Self and out-of-range pairs are
-// ignored.
+// Add accumulates traffic from i to j. Self pairs, out-of-range
+// indices, and volumes that are not positive and finite (NaN, ±Inf,
+// zero, negative) are ignored. An accumulated entry saturates at
+// math.MaxFloat64 instead of overflowing, so every stored volume stays
+// positive and finite.
 func (m *Matrix) Add(i, j int, b float64) {
-	if i < 0 || j < 0 || i >= m.n || j >= m.n || i == j || b <= 0 {
+	if i < 0 || j < 0 || i >= m.n || j >= m.n || i == j || !ValidVolume(b) {
 		return
 	}
-	m.bytes[i*m.n+j] += b
+	m.bytes[i*m.n+j] = accumulate(m.bytes[i*m.n+j], b)
+}
+
+// ValidVolume reports whether b is a volume traffic may carry: positive
+// and finite (NaN fails the first comparison). Add drops every other
+// volume; CLIs use it to reject a -bytes flag up front.
+func ValidVolume(b float64) bool {
+	return b > 0 && b <= math.MaxFloat64
+}
+
+// accumulate adds volume b to sum, saturating at math.MaxFloat64.
+func accumulate(sum, b float64) float64 {
+	if sum += b; sum > math.MaxFloat64 {
+		return math.MaxFloat64
+	}
+	return sum
 }
 
 // AddSym accumulates traffic in both directions.

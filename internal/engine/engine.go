@@ -387,15 +387,15 @@ func (e *Engine) place(ctx context.Context, w *worker, snap *Snapshot, req *Requ
 		preq.Layout = layout
 	}
 	if req.Pattern != "" {
-		gen, ok := commpat.ByName(req.Pattern)
-		if !ok {
-			return nil, fmt.Errorf("engine: unknown traffic pattern %q", req.Pattern)
-		}
 		bytes := req.Bytes
 		if bytes <= 0 {
 			bytes = 1 << 20
 		}
-		preq.Traffic = gen(req.NP, bytes)
+		tm, err := commpat.Generate(req.Pattern, req.NP, bytes)
+		if err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		preq.Traffic = tm
 	}
 	return place.Place(ctx, policy, preq)
 }

@@ -103,6 +103,28 @@ func (o *Object) UsablePUs() []*Object {
 	return out
 }
 
+// NumUsablePUs returns len(o.UsablePUs()) without building the slice.
+func (o *Object) NumUsablePUs() int {
+	if !o.Usable() {
+		return 0
+	}
+	return o.countUsablePUs()
+}
+
+func (o *Object) countUsablePUs() int {
+	if !o.Available {
+		return 0
+	}
+	if o.Level == LevelPU {
+		return 1
+	}
+	n := 0
+	for _, c := range o.Children {
+		n += c.countUsablePUs()
+	}
+	return n
+}
+
 // UsablePUSet returns the CPUSet of UsablePUs.
 func (o *Object) UsablePUSet() *CPUSet {
 	s := &CPUSet{}

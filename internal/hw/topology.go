@@ -173,7 +173,7 @@ func (t *Topology) NumObjects(level Level) int { return len(t.byLevel[level]) }
 func (t *Topology) NumPUs() int { return len(t.byLevel[LevelPU]) }
 
 // NumUsablePUs returns the number of PUs whose ancestor chain is available.
-func (t *Topology) NumUsablePUs() int { return len(t.Root.UsablePUs()) }
+func (t *Topology) NumUsablePUs() int { return t.Root.NumUsablePUs() }
 
 // ObjectAt returns the object with the given machine-wide logical index at
 // a level, or nil if out of range.

@@ -214,6 +214,16 @@ func TestAvailabilityAndRestrict(t *testing.T) {
 	if got := pu.UsablePUs(); got != nil {
 		t.Fatal("UsablePUs under offline ancestor must be empty")
 	}
+	if pu.NumUsablePUs() != 0 {
+		t.Fatal("NumUsablePUs under offline ancestor must be 0")
+	}
+	for _, lvl := range []Level{LevelMachine, LevelSocket, LevelCore, LevelPU} {
+		for _, o := range topo.Objects(lvl) {
+			if got, want := o.NumUsablePUs(), len(o.UsablePUs()); got != want {
+				t.Fatalf("%s: NumUsablePUs %d, len(UsablePUs) %d", o, got, want)
+			}
+		}
+	}
 	topo.SetAvailable(LevelSocket, 1, true)
 
 	// Scheduler restriction to PUs 0-5.

@@ -83,10 +83,11 @@ type Request struct {
 	// Empty derives it from the abstraction level: "rankfile" for Level 4,
 	// "lama" otherwise.
 	Policy string
-	// Traffic is the application communication matrix, consumed by
-	// traffic-aware policies ("treematch") and the reorder stage. Set
-	// programmatically (CLIs lower their -pattern/-traffic flags onto it).
-	Traffic *commpat.Matrix
+	// Traffic is the application's communication, consumed by
+	// traffic-aware policies ("treematch") and the netorder and reorder
+	// stages; see place.Request.Traffic. Set programmatically (CLIs
+	// lower their -pattern/-traffic flags onto it).
+	Traffic commpat.Traffic
 	// Seed, TorusDims, TorusOrder, BlockSize, and PackLevel feed the
 	// corresponding registry policies; see place.Request.
 	Seed       int64

@@ -254,10 +254,10 @@ func maxMinRates(flows []*flow, now float64) []float64 {
 	return rates
 }
 
-// FromMatrix converts a traffic matrix into the message list of one phase.
-func FromMatrix(tm *commpat.Matrix) []Message {
+// FromMatrix converts traffic into the message list of one phase.
+func FromMatrix(tm commpat.Traffic) []Message {
 	var msgs []Message
-	tm.Each(func(i, j int, bytes float64) {
+	tm.Sparse().Each(func(i, j int, bytes float64) {
 		msgs = append(msgs, Message{Src: i, Dst: j, Bytes: bytes})
 	})
 	sort.Slice(msgs, func(a, b int) bool {

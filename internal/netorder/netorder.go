@@ -336,7 +336,7 @@ func nodeClassKey(nd *cluster.Node) string {
 }
 
 // Stage is the node-ordering post-pass (place.Stage). It requires the
-// request's Traffic matrix and a network model: Model when set,
+// request's Traffic and a network model: Model when set,
 // otherwise one is built from Net with default intra-node parameters.
 type Stage struct {
 	// Net is the inter-node network to order against (used when Model is
@@ -361,10 +361,11 @@ func (s *Stage) Apply(_ context.Context, req *place.Request, m *core.Map) (*core
 		}
 		mo = netsim.NewModel(s.Net)
 	}
-	if req.Traffic == nil {
+	tm := commpat.SparseOf(req.Traffic)
+	if tm == nil {
 		return nil, fmt.Errorf("netorder: stage needs req.Traffic")
 	}
-	out, res, err := OrderNodes(req.Cluster, mo, req.Traffic.Sparse(), m)
+	out, res, err := OrderNodes(req.Cluster, mo, tm, m)
 	if err != nil {
 		return nil, err
 	}

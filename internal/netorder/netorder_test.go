@@ -295,12 +295,18 @@ func TestStageNeedsTraffic(t *testing.T) {
 	req := &place.Request{Cluster: c, NP: 4, Layout: core.MustParseLayout("csbnh")}
 	m := mapJob(t, c, 4)
 	st := &Stage{Net: netsim.NewFlat()}
-	if _, err := st.Apply(context.Background(), req, m); err == nil {
-		t.Fatal("stage without traffic must error")
-	}
 	rf := &Refine{Net: netsim.NewFlat()}
-	if _, err := rf.Apply(context.Background(), req, m); err == nil {
-		t.Fatal("refine without traffic must error")
+	var nilMatrix *commpat.Matrix
+	var nilCSR *commpat.CSR
+	// A typed nil inside the interface is missing traffic too.
+	for _, tm := range []commpat.Traffic{nil, nilMatrix, nilCSR} {
+		req.Traffic = tm
+		if _, err := st.Apply(context.Background(), req, m); err == nil {
+			t.Fatalf("stage without traffic (%#v) must error", tm)
+		}
+		if _, err := rf.Apply(context.Background(), req, m); err == nil {
+			t.Fatalf("refine without traffic (%#v) must error", tm)
+		}
 	}
 	none := &Stage{}
 	req.Traffic = commpat.Ring(4, 1)

@@ -186,10 +186,11 @@ func (s *Refine) Apply(ctx context.Context, req *place.Request, m *core.Map) (*c
 		}
 		mo = netsim.NewModel(s.Net)
 	}
-	if req.Traffic == nil {
+	tm := commpat.SparseOf(req.Traffic)
+	if tm == nil {
 		return nil, fmt.Errorf("netorder: refine stage needs req.Traffic")
 	}
-	out, res, err := RefineMapContext(ctx, req.Cluster, mo, req.Traffic.Sparse(), m, s.MaxSweeps)
+	out, res, err := RefineMapContext(ctx, req.Cluster, mo, tm, m, s.MaxSweeps)
 	if err != nil {
 		return nil, err
 	}

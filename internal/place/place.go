@@ -50,9 +50,11 @@ type Request struct {
 	// Layout is the LAMA process layout ("lama" policy). The zero layout
 	// falls back to "csbnh", the Level-1 default of the paper's §V.
 	Layout core.Layout
-	// Traffic is the application communication matrix (traffic-aware
-	// policies such as "treematch", and the reorder post-pass stage).
-	Traffic *commpat.Matrix
+	// Traffic is the application's communication (traffic-aware
+	// policies such as "treematch", and the netorder and reorder
+	// post-pass stages). A *commpat.CSR is read as is; a dense
+	// *commpat.Matrix is converted by every consumer that reads it.
+	Traffic commpat.Traffic
 	// TorusDims is the X, Y, Z shape of the torus ("torus" policy). All
 	// zero means "derive a near-cubic shape from the node count".
 	TorusDims [3]int

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"lama/internal/commpat"
 	"lama/internal/core"
 	"lama/internal/netsim"
 	"lama/internal/obs"
@@ -28,18 +29,25 @@ type Pass struct {
 // and event label.
 func (p *Pass) StageName() string { return obs.SpanReorder }
 
-// Apply runs the optimizer using the request's traffic matrix. A request
-// without one is an error: composing a reorder stage is an explicit ask
-// for traffic-aware optimization.
+// Apply runs the optimizer using the request's traffic. A request
+// without any is an error: composing a reorder stage is an explicit ask
+// for traffic-aware optimization. The optimizer reads a dense matrix, so
+// CSR traffic is lowered to one here.
 func (p *Pass) Apply(_ context.Context, req *place.Request, m *core.Map) (*core.Map, error) {
-	if req.Traffic == nil {
+	tm, ok := req.Traffic.(*commpat.Matrix)
+	if !ok {
+		if s := commpat.SparseOf(req.Traffic); s != nil {
+			tm = s.Dense()
+		}
+	}
+	if tm == nil {
 		return nil, fmt.Errorf("reorder: stage requires a traffic matrix")
 	}
 	model := p.Model
 	if model == nil {
 		model = netsim.NewModel(netsim.NewFlat())
 	}
-	res, err := Optimize(req.Cluster, m, model, req.Traffic, p.MaxSweeps)
+	res, err := Optimize(req.Cluster, m, model, tm, p.MaxSweeps)
 	if err != nil {
 		return nil, err
 	}

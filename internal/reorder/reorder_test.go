@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"context"
 	"testing"
 
 	"lama/internal/cluster"
@@ -8,6 +9,7 @@ import (
 	"lama/internal/core"
 	"lama/internal/hw"
 	"lama/internal/netsim"
+	"lama/internal/place"
 )
 
 func setup(t *testing.T, layout string, nodes, np int) (*cluster.Cluster, *core.Map, *netsim.Model) {
@@ -102,5 +104,30 @@ func TestReorderErrors(t *testing.T) {
 	}
 	if _, err := Optimize(c, m, mo, commpat.Ring(5, 1), 0); err == nil {
 		t.Fatal("size mismatch")
+	}
+}
+
+// TestPassTraffic: the stage lowers CSR traffic to the same result the
+// dense matrix gives, and a missing traffic (nil, or a typed nil inside
+// the interface) is an error, not a nil dereference.
+func TestPassTraffic(t *testing.T) {
+	c, m, _ := setup(t, "ncsbh", 2, 24)
+	dense := commpat.Ring(24, 1<<20)
+	var results []*Result
+	p := &Pass{OnResult: func(r *Result) { results = append(results, r) }}
+	for _, tm := range []commpat.Traffic{dense, dense.Sparse()} {
+		if _, err := p.Apply(context.Background(), &place.Request{Cluster: c, NP: 24, Traffic: tm}, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := results[0], results[1]; a.After != b.After || a.Swaps != b.Swaps {
+		t.Fatalf("dense %+v vs CSR %+v", a, b)
+	}
+	var nilMatrix *commpat.Matrix
+	var nilCSR *commpat.CSR
+	for _, tm := range []commpat.Traffic{nil, nilMatrix, nilCSR} {
+		if _, err := p.Apply(context.Background(), &place.Request{Cluster: c, NP: 24, Traffic: tm}, m); err == nil {
+			t.Fatalf("missing traffic %#v accepted", tm)
+		}
 	}
 }

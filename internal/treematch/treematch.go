@@ -23,13 +23,18 @@ import (
 	"lama/internal/hw"
 )
 
-// Map places np ranks onto the cluster guided by the traffic matrix,
-// greedily maximizing the traffic kept inside each topology subtree. It
-// never oversubscribes; np must not exceed the cluster's usable PUs, and
-// the traffic matrix must cover exactly np ranks.
-func Map(c *cluster.Cluster, tm *commpat.Matrix, np int) (*core.Map, error) {
+// Map places np ranks onto the cluster guided by the traffic, greedily
+// maximizing the traffic kept inside each topology subtree. It never
+// oversubscribes; np must not exceed the cluster's usable PUs, and the
+// traffic must cover exactly np ranks. It works on the CSR view, so its
+// cost follows the communicating pairs, not np².
+func Map(c *cluster.Cluster, traffic commpat.Traffic, np int) (*core.Map, error) {
 	if np <= 0 {
 		return nil, fmt.Errorf("treematch: non-positive process count %d", np)
+	}
+	tm := commpat.SparseOf(traffic)
+	if tm == nil {
+		return nil, fmt.Errorf("treematch: no traffic matrix")
 	}
 	if tm.Ranks() != np {
 		return nil, fmt.Errorf("treematch: traffic has %d ranks, want %d", tm.Ranks(), np)
@@ -51,14 +56,15 @@ func Map(c *cluster.Cluster, tm *commpat.Matrix, np int) (*core.Map, error) {
 			bins = append(bins, bin{idx: i, capacity: capacity})
 		}
 	}
-	groups := partition(tm, all, bins)
+	p := newPartitioner(tm)
+	groups := p.partition(all, bins)
 
 	m := &core.Map{Sweeps: 1}
 	placements := make([]core.Placement, np)
 	for bi, ranks := range groups {
 		nodeIdx := bins[bi].idx
 		node := c.Node(nodeIdx)
-		assignSubtree(tm, node.Topo.Root, ranks, func(rank int, pu *hw.Object) {
+		p.assignSubtree(node.Topo.Root, ranks, func(rank int, pu *hw.Object) {
 			placements[rank] = core.Placement{
 				Rank:     rank,
 				Node:     nodeIdx,
@@ -79,9 +85,40 @@ type bin struct {
 	capacity int
 }
 
+// partitioner holds the traffic in the shape the greedy grouping reads
+// it: pair weights w(r,o) = B(r,o)+B(o,r) as symmetric CSR rows, every
+// rank's total weight, and the affinity gain of every rank to the group
+// being grown.
+type partitioner struct {
+	adj *commpat.CSR
+	// total[r] sums w(r,o) over o ascending; the pairs with w = 0 add
+	// nothing and are skipped.
+	total []float64
+	// gain[r] sums w(r,g) over the current group's members in join
+	// order. It is meaningful only for the ranks of the partition being
+	// grown; partition resets it at each bin.
+	gain []float64
+}
+
+func newPartitioner(tm *commpat.CSR) *partitioner {
+	adj := tm.Undirected()
+	p := &partitioner{
+		adj:   adj,
+		total: make([]float64, adj.Ranks()),
+		gain:  make([]float64, adj.Ranks()),
+	}
+	for r := range p.total {
+		_, vals := adj.Row(r)
+		for _, w := range vals {
+			p.total[r] += w
+		}
+	}
+	return p
+}
+
 // assignSubtree recursively partitions ranks across obj's children by
 // usable capacity, bottoming out by pairing ranks with PUs.
-func assignSubtree(tm *commpat.Matrix, obj *hw.Object, ranks []int, emit func(rank int, pu *hw.Object)) {
+func (p *partitioner) assignSubtree(obj *hw.Object, ranks []int, emit func(rank int, pu *hw.Object)) {
 	if len(ranks) == 0 {
 		return
 	}
@@ -91,22 +128,23 @@ func assignSubtree(tm *commpat.Matrix, obj *hw.Object, ranks []int, emit func(ra
 		return
 	}
 	// Transparent levels (single usable child) recurse directly.
-	var kids []*hw.Object
+	kids := make([]*hw.Object, 0, len(obj.Children))
+	bins := make([]bin, 0, len(obj.Children))
 	for _, ch := range obj.Children {
-		if ch.Available && len(ch.UsablePUs()) > 0 {
+		if !ch.Available {
+			continue
+		}
+		if n := ch.NumUsablePUs(); n > 0 {
+			bins = append(bins, bin{idx: len(kids), capacity: n})
 			kids = append(kids, ch)
 		}
 	}
 	if len(kids) == 1 {
-		assignSubtree(tm, kids[0], ranks, emit)
+		p.assignSubtree(kids[0], ranks, emit)
 		return
 	}
-	bins := make([]bin, len(kids))
-	for i, ch := range kids {
-		bins[i] = bin{idx: i, capacity: len(ch.UsablePUs())}
-	}
-	for bi, group := range partition(tm, ranks, bins) {
-		assignSubtree(tm, kids[bi], group, emit)
+	for bi, group := range p.partition(ranks, bins) {
+		p.assignSubtree(kids[bi], group, emit)
 	}
 }
 
@@ -115,7 +153,10 @@ func assignSubtree(tm *commpat.Matrix, obj *hw.Object, ranks []int, emit func(ra
 // repeatedly adding the unassigned rank with the most traffic to the bin's
 // current members, until the bin holds its share. Shares are computed
 // proportionally to capacities so that small bins are not starved.
-func partition(tm *commpat.Matrix, ranks []int, bins []bin) [][]int {
+//
+// A joining rank updates the gains of its O(degree) neighbours only; a
+// rank it does not talk with gains w = 0, which adds nothing.
+func (p *partitioner) partition(ranks []int, bins []bin) [][]int {
 	groups := make([][]int, len(bins))
 	// Unassigned ranks are kept as a sorted slice and always scanned in
 	// ascending order, so ties break toward the lowest rank by construction
@@ -137,49 +178,39 @@ func partition(tm *commpat.Matrix, ranks []int, bins []bin) [][]int {
 	}
 
 	for i := range bins {
+		if shares[i] == 0 {
+			continue
+		}
+		for _, r := range unassigned {
+			p.gain[r] = 0
+		}
+		groups[i] = make([]int, 0, shares[i])
 		for len(groups[i]) < shares[i] {
-			var at int
+			weight := p.gain
 			if len(groups[i]) == 0 {
-				at = heaviestRank(tm, unassigned)
-			} else {
-				at = bestAffinity(tm, unassigned, groups[i])
+				weight = p.total
 			}
-			groups[i] = append(groups[i], unassigned[at])
+			at := heaviest(weight, unassigned)
+			r := unassigned[at]
+			groups[i] = append(groups[i], r)
 			unassigned = append(unassigned[:at], unassigned[at+1:]...)
+			cols, vals := p.adj.Row(r)
+			for k, o := range cols {
+				p.gain[o] += vals[k]
+			}
 		}
 		sort.Ints(groups[i])
 	}
 	return groups
 }
 
-// heaviestRank returns the index (into the sorted unassigned slice) of the
-// rank with the largest total traffic; ties break toward the lowest rank
-// because the slice is scanned in ascending order.
-func heaviestRank(tm *commpat.Matrix, unassigned []int) int {
+// heaviest returns the index (into the sorted unassigned slice) of the
+// rank with the largest weight; ties break toward the lowest rank because
+// the slice is scanned in ascending order.
+func heaviest(weight []float64, unassigned []int) int {
 	best, bestW := -1, -1.0
 	for i, r := range unassigned {
-		w := 0.0
-		for o := 0; o < tm.Ranks(); o++ {
-			w += tm.Bytes(r, o) + tm.Bytes(o, r)
-		}
-		if w > bestW {
-			best, bestW = i, w
-		}
-	}
-	return best
-}
-
-// bestAffinity returns the index (into the sorted unassigned slice) of the
-// rank with the most traffic to the group's members; ties break toward
-// the lowest rank.
-func bestAffinity(tm *commpat.Matrix, unassigned []int, group []int) int {
-	best, bestW := -1, -1.0
-	for i, r := range unassigned {
-		w := 0.0
-		for _, g := range group {
-			w += tm.Bytes(r, g) + tm.Bytes(g, r)
-		}
-		if w > bestW {
+		if w := weight[r]; w > bestW {
 			best, bestW = i, w
 		}
 	}
